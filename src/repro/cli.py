@@ -117,7 +117,8 @@ def main(argv: list[str] | None = None) -> int:
     p_ev.add_argument("--format", default="json",
                       choices=["json", "csv"])
     p_ev.add_argument("--workers", type=int, default=None,
-                      help="process-pool size (default: CPU count)")
+                      help="supervised worker processes (default: CPU "
+                           "count; 1 = in-process)")
     p_ev.add_argument("--timeout", type=float, default=None,
                       help="wall-clock seconds per (binary, tool) cell")
     p_ev.add_argument("--retries", type=int, default=0,
@@ -188,8 +189,8 @@ def main(argv: list[str] | None = None) -> int:
                       help="skip entries matching this glob "
                            "(repeatable; prunes whole directories)")
     p_sc.add_argument("--workers", type=int, default=None,
-                      help="process-pool size (default: CPU count; "
-                           "1 = in-process)")
+                      help="supervised worker processes (default: CPU "
+                           "count; 1 = in-process)")
     p_sc.add_argument("--timeout", type=float, default=None,
                       help="wall-clock seconds per ladder rung")
     p_sc.add_argument("--max-rss-mb", type=int, default=None,

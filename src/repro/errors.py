@@ -116,7 +116,7 @@ class WorkerLostError(ServiceError):
     ``reason`` distinguishes how the worker was lost: ``"crash"`` (the
     child exited/was SIGKILLed), ``"deadline"`` (the supervisor's
     backstop killed a wedged worker), ``"unresponsive"`` (heartbeats
-    stopped), ``"shutdown"`` (the pool was being torn down). The loss
+    stopped), ``"shutdown"`` (the executor was being torn down). The loss
     is *transient by classification* — the job manager retries the job
     on a fresh worker and escalates to poison-quarantine only after
     repeated losses, so this must never be journaled as a permanent

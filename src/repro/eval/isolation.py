@@ -14,7 +14,7 @@ The watchdog uses ``SIGALRM``, which interrupts pure-Python loops (the
 realistic hang mode for this code base). It only arms on the main
 thread of a process; elsewhere it degrades to unenforced execution —
 worker processes run cells on their main thread, so both the serial
-runner and pool workers get real enforcement.
+runner and supervised workers get real enforcement.
 """
 
 from __future__ import annotations

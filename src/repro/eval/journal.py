@@ -288,7 +288,7 @@ def read_journal_lines(
 class RunJournal:
     """Single-writer append handle on a run directory's journal.
 
-    Only the sweep *parent* writes: pool workers report results up and
+    Only the sweep *parent* writes: workers report results up and
     the parent journals them, so there is exactly one writer per run
     and lines never interleave. Every append is flushed and fsync'd —
     a SIGKILL between cells loses nothing, a SIGKILL mid-append tears

@@ -2,8 +2,10 @@
 
 The paper's full matrix is thousands of binaries; evaluation is
 embarrassingly parallel across them. This runner fans corpus entries
-out over a process pool and reassembles an :class:`EvalReport`
-identical (up to timing jitter) to the serial one.
+out over supervised worker subprocesses
+(:mod:`repro.eval.supervisor`, the same engine that runs ``scan`` and
+``serve``) and reassembles an :class:`EvalReport` identical (up to
+timing jitter) to the serial one.
 
 Detectors are addressed by registry name (``repro.baselines``), not by
 instance — worker processes construct their own, so nothing stateful
@@ -16,26 +18,22 @@ fault plan through ``REPRO_FAULT_PLAN``).
 
 Fault isolation mirrors the serial runner: each (binary, tool) cell is
 guarded in the worker (exceptions and ``timeout`` become
-:class:`~repro.eval.isolation.FailureRecord` entries), and the parent
-additionally guards against the worker itself dying — a crashed or
-wedged worker costs its own job a failure record, not the sweep.
-``multiprocessing.Pool`` respawns replacement workers, so the
-remaining jobs still run. ``max_rss_mb`` arms an address-space rlimit
-in every worker, so a cell that balloons is killed by its own
-``MemoryError`` (a permanent, non-retried failure record) instead of
-taking the host down.
+:class:`~repro.eval.isolation.FailureRecord` entries, the watchdog
+armed on the worker's main thread), and the supervisor guards against
+the worker itself dying. A crashed worker is seen at pipe EOF, a
+frozen one after 15 s of heartbeat silence, and a wedged one past its
+job's budget plus the executor's backstop; either way its own job
+becomes ``WorkerLost`` failure records, not a failed sweep, and a
+fresh worker takes the remaining jobs. ``max_rss_mb`` arms an
+address-space rlimit in every worker, so a cell that balloons is
+killed by its own ``MemoryError`` (a permanent, non-retried failure
+record) instead of taking the host down.
 
-Jobs are dispatched **lazily** (a bounded window of in-flight handles)
-and collected **out of order** against per-job absolute deadlines
-armed at dispatch; the driving discipline lives in
-:class:`repro.eval.dispatch.BoundedPoolDriver`, which this runner
-shares with the fleet-scan ingest pipeline. One wedged worker costs
-the sweep roughly a single backstop beyond its useful work, never
-``jobs × backstop``, and an early loss never stalls the collection of
-already-finished later results. Lazy dispatch is also what gives the
-per-tool circuit ``breaker`` its teeth: cells of a tool whose circuit
-opened mid-sweep are skipped at dispatch time, before they can burn a
-worker's budget.
+Jobs are dispatched **lazily** (a bounded window of in-flight tasks)
+and collected **out of order** by :func:`repro.eval.supervisor.drive`.
+Lazy dispatch is also what gives the per-tool circuit ``breaker`` its
+teeth: cells of a tool whose circuit opened mid-sweep are skipped at
+dispatch time, before they can burn a worker's budget.
 
 Crash-safety hooks run in the **parent**, which is the single writer:
 every absorbed cell outcome is appended (fsync'd) to the optional
@@ -52,7 +50,6 @@ counters to a per-worker JSONL part file after every job; the parent
 
 from __future__ import annotations
 
-import multiprocessing
 import os
 from collections.abc import Iterable
 from contextlib import nullcontext
@@ -65,7 +62,6 @@ from repro.elf.parser import ELFFile
 from repro.errors import EvaluationAborted
 from repro.eval import shm
 from repro.eval.breaker import CircuitBreaker
-from repro.eval.dispatch import BoundedPoolDriver, shutdown_pool
 from repro.eval.isolation import (
     PHASE_DETECT,
     PHASE_PARSE,
@@ -75,14 +71,8 @@ from repro.eval.isolation import (
 )
 from repro.eval.metrics import score
 from repro.eval.runner import EvalReport, RunRecord, _breaker_failure
+from repro.eval.supervisor import drive
 from repro.synth.corpus import CorpusEntry
-
-#: Extra wall-clock (seconds) the parent grants a worker beyond the
-#: per-cell budgets before declaring it lost.
-_BACKSTOP_GRACE = 30.0
-
-#: In-flight dispatch window, as a multiple of the pool size.
-_INFLIGHT_FACTOR = 2
 
 
 def run_evaluation_parallel(
@@ -100,10 +90,8 @@ def run_evaluation_parallel(
     breaker: CircuitBreaker | None = None,
     quarantine=None,
     max_rss_mb: int | None = None,
-    backstop_grace: float | None = None,
-    pool_factory=None,
 ) -> EvalReport:
-    """Evaluate ``tool_names`` over ``corpus`` using a process pool.
+    """Evaluate ``tool_names`` over ``corpus`` on supervised workers.
 
     ``tool_names`` must be keys of
     :data:`repro.baselines.ALL_DETECTORS`. ``workers`` defaults to the
@@ -111,25 +99,19 @@ def run_evaluation_parallel(
     under debuggers).
 
     ``timeout`` bounds each (binary, tool) cell in wall-clock seconds
-    (enforced inside the worker, with a parent-side backstop for
-    workers that die outright); ``retries`` re-runs transiently
-    failing cells with ``backoff``-based exponential delays. With
-    ``keep_going=False`` the first failed cell aborts the sweep via
-    :class:`~repro.errors.EvaluationAborted`. ``trace_dir`` (optional)
-    enables per-worker observability traces, written as JSONL part
-    files into that directory.
+    (enforced inside the worker; the supervisor kills a worker that
+    outlives its job's whole budget plus a backstop, and with no
+    ``timeout`` never kills a live, heartbeating worker); ``retries``
+    re-runs transiently failing cells with ``backoff``-based
+    exponential delays. With ``keep_going=False`` the first failed cell
+    aborts the sweep via :class:`~repro.errors.EvaluationAborted`,
+    killing in-flight jobs instead of waiting for them. ``trace_dir``
+    (optional) enables per-worker observability traces, written as
+    JSONL part files into that directory.
 
     ``journal``/``completed``/``breaker``/``quarantine``/``max_rss_mb``
     are the crash-safety hooks described in the module docstring; all
-    default to off. ``backstop_grace`` tunes the parent-side lost-
-    worker grace period (tests and the chaos harness shrink it).
-
-    ``pool_factory`` injects the executor: any callable with the
-    ``multiprocessing.Pool(processes=, initializer=, initargs=)``
-    signature whose pools support ``apply_async``/``close``/``join``/
-    ``terminate``. Defaults to ``multiprocessing.Pool``; embedders (the
-    analysis service, tests) substitute instrumented or pre-warmed
-    pools without monkeypatching this module.
+    default to off.
     """
     unknown = [t for t in tool_names if t not in ALL_DETECTORS]
     if unknown:
@@ -200,48 +182,23 @@ def run_evaluation_parallel(
             _absorb(records, failures, job)
         return report
 
-    # A worker enforces its own per-cell deadline; the parent-side
-    # backstop only has to catch workers that never report back at all
-    # (hard crash, uninterruptible hang).
-    if backstop_grace is None:
-        backstop_grace = _BACKSTOP_GRACE
-    backstop = None
-    if timeout is not None:
-        per_job_cells = len(tool_names) + 1  # + the shared parse
-        backstop = (timeout * (retries + 1) * per_job_cells
-                    + backstop_grace)
-
     # Ship images through a shared-memory arena instead of pickling
     # them into every dispatch: jobs carry a small ImageRef and workers
-    # slice the mapped segment, so the job queue stops being the
+    # slice the mapped segment, so the job pipe stops being the
     # bottleneck on large corpora.
     arena = None
     if shm.available() and jobs:
         arena, refs = shm.share_images([job[0] for job in jobs])
         jobs = [(ref,) + job[1:] for job, ref in zip(jobs, refs)]
 
-    pool_size = workers or os.cpu_count() or 1
-    max_inflight = _INFLIGHT_FACTOR * pool_size + 2
-    if pool_factory is None:
-        pool_factory = multiprocessing.Pool
-    pool = pool_factory(
-        processes=workers,
-        initializer=_worker_init,
-        initargs=(None if trace_dir is None else str(trace_dir),
-                  max_rss_mb),
-    )
-    driver = BoundedPoolDriver(max_inflight=max_inflight,
-                               backstop=backstop)
+    trace = None if trace_dir is None else str(trace_dir)
 
-    def _submit(job):
+    def _prepare(job):
         job = _breaker_filter(job)
         if job is None:
             return None
         faults.hit(faults.SITE_WORKER_DISPATCH)
-        return job, pool.apply_async(
-            _evaluate_job,
-            (job, timeout, retries,
-             None if trace_dir is None else str(trace_dir), backoff))
+        return job, _worker_job, (job, timeout, retries, trace, backoff)
 
     def _collect(job, result):
         records, failures = result
@@ -250,50 +207,32 @@ def run_evaluation_parallel(
     def _lost(job, message):
         _absorb([], _lost_worker_failures(job, message), job)
 
+    # The worker enforces every cell's deadline; the supervisor's
+    # budget covers a whole job: each tool plus the shared parse, each
+    # with all its attempts.
+    budget = None
+    if timeout is not None:
+        budget = timeout * (retries + 1) * (len(tool_names) + 1)
     try:
-        try:
-            driver.drive(jobs, _submit, _collect, _lost)
-        except BaseException:
-            # Abort path (--fail-fast, KeyboardInterrupt): drop the pool
-            # immediately, in-flight work included.
-            pool.terminate()
-            pool.join()
-            raise
-        shutdown_pool(pool, lost_worker=driver.any_lost)
+        drive(jobs, _prepare, _collect, _lost, workers=workers,
+              budget=budget, max_rss_mb=max_rss_mb)
     finally:
         if arena is not None:
             arena.destroy()
     return report
 
 
-def _worker_init(trace_dir: str | None, max_rss_mb: int | None) -> None:
-    """Pool-worker initializer: recorder, fault counters, RSS ceiling.
+def _worker_job(job: tuple, timeout: float | None, retries: int,
+                trace_dir: str | None, backoff: float):
+    """:func:`_evaluate_job` in a supervised worker process.
 
-    Workers must not inherit the parent recorder across ``fork`` —
-    spans the parent collected before the pool spawned would be
-    re-exported by every worker. Tracing runs get a fresh recorder;
-    otherwise the no-op default is (re)installed. Fault-point hit
-    counters restart at zero so a plan's ordinals are reproducible per
-    worker, and ``max_rss_mb`` arms an address-space rlimit so runaway
-    cells die by ``MemoryError`` inside their own isolation guard.
+    Traced runs record into a fresh per-worker recorder (the worker
+    starts with a counters-only one), flushed to the worker's part
+    file after every job.
     """
-    obs.set_recorder(obs.TraceRecorder() if trace_dir else None)
-    faults.reset_counts()
-    if max_rss_mb is not None:
-        _apply_rss_limit(max_rss_mb)
-
-
-def _apply_rss_limit(max_rss_mb: int) -> None:
-    """Best-effort address-space ceiling for the current process."""
-    try:
-        import resource
-    except ImportError:  # pragma: no cover — non-POSIX
-        return
-    limit = int(max_rss_mb) * 1024 * 1024
-    try:
-        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
-    except (ValueError, OSError):  # pragma: no cover — platform quirk
-        pass
+    if trace_dir is not None and not obs.enabled():
+        obs.set_recorder(obs.TraceRecorder())
+    return _evaluate_job(job, timeout, retries, trace_dir, backoff)
 
 
 def _flush_job_trace(trace_dir: str) -> None:
@@ -374,7 +313,7 @@ def _evaluate_job(
 ) -> tuple[list[RunRecord], list[FailureRecord]]:
     """Evaluate one corpus entry; never raises.
 
-    Runs in a pool worker (or in-process for ``workers=1``). Every
+    Runs in a worker process (or in-process for ``workers=1``). Every
     cell failure is returned as data so nothing propagates across the
     process boundary as an exception.
     """

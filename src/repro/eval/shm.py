@@ -1,7 +1,7 @@
 """Shared-memory binary images for multi-process evaluation.
 
 The parallel runners used to pickle every binary image through the
-pool's job queue: each dispatch re-serialized megabytes of ``bytes``
+job queue: each dispatch re-serialized megabytes of ``bytes``
 through a pipe, so parallel speedup was bounded by the queue, not by
 the workers. Instead, the parent packs all images into one
 ``multiprocessing.shared_memory`` arena up front and ships only tiny
@@ -9,7 +9,7 @@ picklable :class:`ImageRef` handles; workers map the segment once and
 slice their image out of it with zero copies through the queue.
 
 Ownership is strictly creator-side: the parent that built the
-:class:`Arena` unlinks it (``destroy()``) after the pool is done.
+:class:`Arena` unlinks it (``destroy()``) after the workers are done.
 Workers attach read-only-by-convention and must *not* let their
 resource tracker reclaim the segment behind the creator's back —
 :func:`_attach` passes ``track=False`` where Python supports it
@@ -25,6 +25,8 @@ from __future__ import annotations
 
 import atexit
 import os
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass
 
 from repro import obs
@@ -42,15 +44,35 @@ def available() -> bool:
     return _shm is not None
 
 
-#: Per-process cache of attached segments, keyed by segment name. Pool
-#: workers serve many jobs from the same arena; mapping it once per
-#: process is the entire point.
-_ATTACHED: dict[str, object] = {}
+#: Per-process LRU of attached segments, keyed by segment name. Workers
+#: serve many jobs from the same arena; mapping it once per process is
+#: the entire point. Long-lived workers also see a fresh segment per
+#: scanned binary or service batch, so the cache is bounded: each entry
+#: holds an fd and a mapping that keeps an unlinked image's pages alive.
+_ATTACHED: OrderedDict[str, object] = OrderedDict()
+
+#: Attached segments kept open per process.
+_ATTACH_CACHE = 4
+
+#: Serializes attach + copy, so a thread-executor service cannot evict
+#: (and close) a segment another thread is reading. A fork may land
+#: while a parent thread holds it, so each child starts with a new one.
+_attach_lock = threading.Lock()
+
+
+def _new_attach_lock() -> None:
+    global _attach_lock
+    _attach_lock = threading.Lock()
+
+
+os.register_at_fork(after_in_child=_new_attach_lock)
 
 
 def _attach(name: str):
     seg = _ATTACHED.get(name)
-    if seg is None:
+    if seg is not None:
+        _ATTACHED.move_to_end(name)
+    else:
         # Attaching must not register the segment with the resource
         # tracker: the tracker would unlink the creator's arena at
         # worker exit, and forked workers share one tracker process, so
@@ -70,7 +92,16 @@ def _attach(name: str):
                 _tracker.register = orig
         _ATTACHED[name] = seg
         obs.add("shm.attaches", 1)
+        while len(_ATTACHED) > _ATTACH_CACHE:
+            _close(_ATTACHED.popitem(last=False)[1])
     return seg
+
+
+def _close(seg) -> None:
+    try:
+        seg.close()
+    except (OSError, BufferError):  # pragma: no cover — live view
+        pass
 
 
 @dataclass(frozen=True)
@@ -83,9 +114,11 @@ class ImageRef:
 
     def fetch(self) -> bytes:
         """Materialize the image bytes (maps the segment on first use)."""
-        seg = _attach(self.segment)
+        with _attach_lock:
+            seg = _attach(self.segment)
+            data = bytes(seg.buf[self.offset : self.offset + self.length])
         obs.add("shm.fetches", 1)
-        return bytes(seg.buf[self.offset : self.offset + self.length])
+        return data
 
 
 #: Creator-side registry of live arenas, keyed by segment name. An
@@ -126,7 +159,7 @@ class Arena:
         return self._seg.name
 
     def destroy(self) -> None:
-        """Close and unlink the segment; call once the pool is done.
+        """Close and unlink the segment; call once the workers are done.
 
         Idempotent: crash-recovery paths (``finally`` blocks, the atexit
         sweep, explicit cleanup) may all race to call it, and only the
@@ -138,12 +171,10 @@ class Arena:
             return
         self._destroyed = True
         _LIVE_ARENAS.pop(self._seg.name, None)
-        attached = _ATTACHED.pop(self._seg.name, None)
-        if attached is not None and attached is not self._seg:
-            try:
-                attached.close()
-            except OSError:  # pragma: no cover
-                pass
+        with _attach_lock:
+            attached = _ATTACHED.pop(self._seg.name, None)
+            if attached is not None and attached is not self._seg:
+                _close(attached)
         try:
             self._seg.close()
             self._seg.unlink()

@@ -1,24 +1,26 @@
-"""Supervised worker-subprocess pool for the analysis service.
+"""Supervised worker subprocesses: the one worker engine.
 
-The service's job bodies run untrusted binaries through the analysis
-pipeline. On a thread pool (the historical default) none of the
-isolation machinery actually bites: the ``SIGALRM`` cell watchdog only
-arms on a main thread, ``RLIMIT_AS`` is per-process, and a job that
-SIGKILLs or wedges its thread takes the whole server with it. This
-module is the executor that makes the guarantees real:
+``funseeker evaluate --workers``, ``funseeker scan`` and ``funseeker
+serve`` all run untrusted binaries through the analysis pipeline on
+this executor. On a thread pool none of the isolation machinery would
+bite: the ``SIGALRM`` cell watchdog only arms on a main thread,
+``RLIMIT_AS`` is per-process, and a job that SIGKILLs or wedges its
+thread takes the whole process with it. This module makes the
+guarantees real:
 
 - each worker is a **child process**; tasks run on the child's *main*
   thread, so :func:`repro.eval.isolation.deadline` arms for real, and
   an optional ``RLIMIT_AS`` ceiling turns runaway allocations into an
   in-band :class:`MemoryError`;
 - each worker slot is driven by a **supervisor thread** in the parent
-  that enforces a wall-clock **backstop** per task (budget + grace) and
-  a **heartbeat** (a frozen or SIGSTOPped child stops beating), killing
-  and respawning the worker when either trips;
+  that sees a crashed child at pipe EOF, enforces a wall-clock
+  **backstop** per task (budget + grace, armed when the worker starts
+  the task) and a **heartbeat** (a frozen or SIGSTOPped child stops
+  beating), killing and respawning the worker when either trips;
 - a lost worker fails the in-flight task with
   :class:`~repro.errors.WorkerLostError` — *transient* by taxonomy, so
-  the job manager retries on the fresh worker and escalates to
-  poison-quarantine after repeated losses;
+  the service's job manager retries on a fresh worker and the batch
+  pipelines journal a retryable ``WorkerLost`` record;
 - respawns after consecutive crashes back off exponentially
   (**crash-loop backoff**), so a poisoned queue cannot turn the parent
   into a fork bomb.
@@ -27,7 +29,9 @@ The pool is a ``concurrent.futures.Executor``: it drops into
 ``JobManager(executor=...)`` unchanged. The extra
 :meth:`SupervisedExecutor.submit_task` entry point carries a per-task
 wall-clock *budget* so the backstop can track the job's real deadline
-instead of a single global worst case.
+instead of a single global worst case. :func:`drive` is the batch
+pipelines' loop over it: lazy job pull, a bounded in-flight window and
+out-of-order absorption.
 
 Task callables and their arguments must be picklable (module-level
 functions, plain-data payloads) — the same contract as any
@@ -37,13 +41,14 @@ functions, plain-data payloads) — the same contract as any
 from __future__ import annotations
 
 import collections
+import multiprocessing
+import os
 import queue
 import threading
 import time
-from concurrent.futures import Executor, Future
+from collections.abc import Callable, Iterable
+from concurrent.futures import FIRST_COMPLETED, Executor, Future, wait
 from dataclasses import dataclass
-
-import multiprocessing
 
 from repro import faults, obs
 from repro.errors import WorkerLostError
@@ -458,8 +463,8 @@ class SupervisedExecutor(Executor):
         """Idempotent teardown: kill children, stop supervisor threads.
 
         In-flight tasks fail with ``WorkerLostError(reason="shutdown")``
-        — their jobs were journaled at submit, so the next server on
-        the run directory re-runs them.
+        — their results were never journaled, so a resume (or the next
+        server on the run directory) re-runs them.
         """
         self._shutdown.set()
         if cancel_futures:
@@ -499,3 +504,65 @@ class SupervisedExecutor(Executor):
             }
             doc.update(self._stats)
         return doc
+
+
+def drive(
+    jobs: Iterable,
+    prepare: Callable[[object], tuple | None],
+    absorb: Callable[[object, object], None],
+    on_lost: Callable[[object, str], None],
+    *,
+    workers: int | None = None,
+    budget: float | None = None,
+    max_rss_mb: int | None = None,
+) -> int:
+    """Run ``jobs`` on a fresh executor; return the number of lost tasks.
+
+    ``prepare(job)`` returns ``(job', fn, args)`` — the job as the
+    callbacks will see it plus the task to run — or ``None`` when the
+    job was consumed without worker time (filtered, journaled inline).
+    Jobs are pulled lazily and at most ``2 * workers + 2`` are in
+    flight, so a streaming job source only advances as slots free up.
+    ``absorb(job', result)`` receives each finished task's result in
+    completion order; ``on_lost(job', message)`` is called instead when
+    the task raised — its worker crashed, went silent past the
+    heartbeat timeout, or outlived ``budget`` + :data:`DEFAULT_BACKSTOP`.
+    With ``budget=None`` no deadline is armed at all.
+
+    ``workers`` defaults to the CPU count. Callbacks run in the
+    caller's thread; an exception they raise shuts the executor down at
+    once — in-flight tasks are killed, not awaited — and propagates.
+    """
+    size = workers or os.cpu_count() or 1
+    executor = SupervisedExecutor(
+        size, backstop=None if budget is None else DEFAULT_BACKSTOP,
+        max_rss_mb=max_rss_mb)
+    job_iter = iter(jobs)
+    pending: dict[Future, object] = {}
+    lost = 0
+    try:
+        while True:
+            for job in job_iter:
+                task = prepare(job)
+                if task is not None:
+                    sent, fn, args = task
+                    pending[executor.submit_task(
+                        fn, *args, budget=budget)] = sent
+                if len(pending) >= 2 * size + 2:
+                    break
+            if not pending:
+                return lost
+            done, _ = wait(pending, return_when=FIRST_COMPLETED)
+            # Dispatch order within one wakeup keeps journals stable.
+            for future in [f for f in pending if f in done]:
+                job = pending.pop(future)
+                try:
+                    result = future.result()
+                except Exception as exc:  # noqa: BLE001 — lost, not fatal
+                    lost += 1
+                    obs.add("eval.workers_lost", 1)
+                    on_lost(job, f"{type(exc).__name__}: {exc}")
+                else:
+                    absorb(job, result)
+    finally:
+        executor.shutdown(cancel_futures=True)

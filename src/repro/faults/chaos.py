@@ -35,10 +35,6 @@ from repro.eval.journal import (
 )
 from repro.eval.parallel import run_evaluation_parallel
 
-#: Parent-side lost-worker grace used by chaos runs (the default 30s
-#: would dominate a smoke run's wall clock).
-CHAOS_BACKSTOP_GRACE = 2.0
-
 
 @dataclass(frozen=True)
 class ChaosScenario:
@@ -218,7 +214,6 @@ def _run_scenario(
             timeout=scenario.timeout,
             retries=scenario.retries,
             journal=journal,
-            backstop_grace=CHAOS_BACKSTOP_GRACE,
         )
     except (EvaluationError, OSError) as exc:
         result.faulted_run_error = f"{type(exc).__name__}: {exc}"

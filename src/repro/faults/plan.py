@@ -4,7 +4,7 @@ A fault plan is a list of :class:`FaultSpec` triples
 ``(kind, site, ordinal)``: inject fault *kind* at the *ordinal*-th hit
 of named fault point *site* in a process. Plans have a canonical
 one-line text form so they can cross process boundaries through an
-environment variable (forked pool workers inherit the parent's plan)
+environment variable (forked worker processes inherit the parent's plan)
 and be typed on a command line::
 
     enospc@journal.append#2,kill@cell.execute#5,corrupt@cache.get#*

@@ -62,7 +62,7 @@ def install(plan: FaultPlan | str | None, *, env: bool = True) -> None:
     """Install a plan (and optionally export it for child processes).
 
     ``None`` clears the plan. With ``env=True`` (default) the canonical
-    text form is written to :data:`ENV_FAULT_PLAN` so pool workers
+    text form is written to :data:`ENV_FAULT_PLAN` so worker processes
     forked later inherit the same plan.
     """
     global _plan
@@ -83,7 +83,7 @@ def clear() -> None:
 
 
 def reset_counts() -> None:
-    """Zero the per-site hit counters (pool workers call this at spawn)."""
+    """Zero the per-site hit counters (workers call this at spawn)."""
     _counts.clear()
 
 

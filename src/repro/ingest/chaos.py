@@ -9,9 +9,9 @@ timing noise is normalized away, with **zero** unresolved failures —
 i.e. every crash-shaped record healed on resume.
 
 The two scenarios exercise the two ingest fault surfaces the walk
-itself cannot reach: ``ingest.analyze`` (inside pool workers, under the
-lost-worker backstop) and ``ingest.admit`` (in the parent, on the
-transient-triage path).
+itself cannot reach: ``ingest.analyze`` (inside supervised workers,
+where a killed worker becomes a retryable ``WorkerLost`` record) and
+``ingest.admit`` (in the parent, on the transient-triage path).
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ from pathlib import Path
 
 from repro import faults
 from repro.errors import ReproError
-from repro.faults.chaos import CHAOS_BACKSTOP_GRACE
 from repro.ingest.fixtures import build_fixture_tree
 from repro.ingest.pipeline import run_scan
 from repro.ingest.report import build_fleet_report, normalize_fleet_report
@@ -140,8 +139,7 @@ def _run_scenario(
     faults.install(scenario.plan)
     try:
         run_scan(run_dir, roots=[str(tree)], tools=tools,
-                 workers=scenario.workers, timeout=scenario.timeout,
-                 backstop_grace=CHAOS_BACKSTOP_GRACE)
+                 workers=scenario.workers, timeout=scenario.timeout)
     except (ReproError, OSError) as exc:
         result.faulted_run_error = f"{type(exc).__name__}: {exc}"
     finally:
@@ -150,8 +148,7 @@ def _run_scenario(
     # -- resume run ---------------------------------------------------------
     try:
         resumed = run_scan(run_dir, resume=True, workers=1,
-                           timeout=scenario.timeout,
-                           backstop_grace=CHAOS_BACKSTOP_GRACE)
+                           timeout=scenario.timeout)
     except (ReproError, OSError) as exc:
         result.detail = f"resume itself failed: {type(exc).__name__}: {exc}"
         return result

@@ -127,7 +127,7 @@ def analyze_binary(
     max_size: int | None = None,
     data: bytes | None = None,
 ) -> BinaryOutcome:
-    """Run one admitted binary down the ladder. Runs in a pool worker.
+    """Run one admitted binary down the ladder. Runs in a worker process.
 
     Raises :class:`LadderReadError` only when the image cannot be read
     at all; every later rung degrades instead of raising.

@@ -11,9 +11,12 @@ Division of labor:
   bytes per file) and is the journal's single writer. Every decision —
   a walk skip, a final triage call, a finished analysis, a retryable
   failure — is fsync'd to the scan journal the moment it is learned.
-- **Pool workers** run the degradation ladder (parse, CET probe,
-  detector sweep) under the shared watchdog/RSS machinery from
-  :mod:`repro.eval`.
+- **Supervised workers** (:mod:`repro.eval.supervisor`, the engine
+  that also runs ``evaluate`` and ``serve``) run the degradation
+  ladder (parse, CET probe, detector sweep) under the shared
+  watchdog/RSS machinery from :mod:`repro.eval`. A worker that dies
+  mid-ladder is seen at pipe EOF (a frozen one after 15 s of heartbeat
+  silence) and costs its binary a retryable ``WorkerLost`` record.
 - The discover generator *is* the dispatch driver's job iterator, so
   the walk only advances as in-flight slots free up: backpressure for
   free, and parent memory bounded by the dispatch window instead of
@@ -37,7 +40,6 @@ identical to an uninterrupted run.
 
 from __future__ import annotations
 
-import multiprocessing
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -45,9 +47,8 @@ from pathlib import Path
 from repro import obs
 from repro.eval import shm
 from repro.eval.breaker import CIRCUIT_OPEN, CircuitBreaker
-from repro.eval.dispatch import BoundedPoolDriver, shutdown_pool
 from repro.eval.isolation import FailureRecord
-from repro.eval.parallel import _BACKSTOP_GRACE, _INFLIGHT_FACTOR, _worker_init
+from repro.eval.supervisor import drive
 from repro.ingest.admit import AdmissionPolicy, triage
 from repro.ingest.discover import Candidate, discover
 from repro.ingest.journal import (
@@ -106,7 +107,6 @@ def run_scan(
     max_rss_mb: int | None = None,
     limit: int | None = None,
     breaker: CircuitBreaker | None = None,
-    backstop_grace: float | None = None,
     quarantine: bool = True,
 ) -> ScanResult:
     """Scan ``roots`` for binaries and journal every decision.
@@ -156,9 +156,7 @@ def run_scan(
                 roots=roots, tools=tools, include=include, exclude=exclude,
                 policy=policy, follow_symlinks=follow_symlinks,
                 workers=workers, timeout=timeout, max_rss_mb=max_rss_mb,
-                limit=limit, breaker=breaker,
-                backstop_grace=backstop_grace,
-                quarantine=quarantine,
+                limit=limit, breaker=breaker, quarantine=quarantine,
             )
     return result
 
@@ -168,8 +166,7 @@ def _drive_scan(
     result: ScanResult,
     *,
     roots, tools, include, exclude, policy, follow_symlinks,
-    workers, timeout, max_rss_mb, limit, breaker, backstop_grace,
-    quarantine,
+    workers, timeout, max_rss_mb, limit, breaker, quarantine,
 ) -> None:
     state = result.state
     stats = result.stats
@@ -273,24 +270,8 @@ def _drive_scan(
         stats.lost_workers = 0
         return
 
-    if backstop_grace is None:
-        backstop_grace = _BACKSTOP_GRACE
-    backstop = None
-    if timeout is not None:
-        # read + parse + one cell per tool, then the parent's grace.
-        backstop = timeout * (len(tools) + 2) + backstop_grace
-
-    pool_size = workers or os.cpu_count() or 1
-    driver = BoundedPoolDriver(
-        max_inflight=_INFLIGHT_FACTOR * pool_size + 2, backstop=backstop)
-    pool = multiprocessing.Pool(
-        processes=workers,
-        initializer=_worker_init,
-        initargs=(None, max_rss_mb),
-    )
-
     # Per-candidate shared-memory preload: the parent reads the image
-    # once and ships a small ref, so the job queue never carries whole
+    # once and ships a small ref, so the job pipe never carries whole
     # binaries. A preload failure ships no ref and the worker reads the
     # path itself — the pre-shm behavior, byte for byte.
     segments: dict[str, shm.Arena] = {}
@@ -315,15 +296,14 @@ def _drive_scan(
         if arena is not None:
             arena.destroy()
 
-    def _submit(candidate: Candidate):
+    def _prepare(candidate: Candidate):
         gated = _breaker_gate(candidate, breaker, stats, _record_failure)
         if gated is None:
             return None
         stats.dispatched += 1
-        return candidate, pool.apply_async(
-            _scan_job,
-            (str(candidate.path), tools, timeout, policy.max_size,
-             _preload(candidate)))
+        return candidate, _scan_job, (
+            str(candidate.path), tools, timeout, policy.max_size,
+            _preload(candidate))
 
     def _collect(candidate: Candidate, payload: dict) -> None:
         _release(candidate)
@@ -334,19 +314,16 @@ def _drive_scan(
         _release(candidate)
         _record_failure(candidate, "WorkerLost", message)
 
+    # read + parse + one cell per tool
+    budget = None if timeout is None else timeout * (len(tools) + 2)
     try:
-        try:
-            driver.drive(_jobs(), _submit, _collect, _lost)
-        except BaseException:
-            pool.terminate()
-            pool.join()
-            raise
-        shutdown_pool(pool, lost_worker=driver.any_lost)
+        stats.lost_workers = drive(
+            _jobs(), _prepare, _collect, _lost, workers=workers,
+            budget=budget, max_rss_mb=max_rss_mb)
     finally:
         for arena in segments.values():
             arena.destroy()
         segments.clear()
-    stats.lost_workers = driver.lost_workers
 
 
 def _breaker_gate(candidate: Candidate, breaker: CircuitBreaker,
@@ -377,10 +354,10 @@ def _scan_job(path: str, tool_names: list[str],
               image_ref=None) -> dict:
     """Run one admitted binary down the ladder; never raises.
 
-    Runs in a pool worker (or in-process for ``workers=1``); everything
-    comes back as data, so nothing crosses the process boundary as an
-    exception — except a worker killed outright, which the parent's
-    backstop turns into a retryable ``WorkerLost`` record.
+    Runs in a supervised worker (or in-process for ``workers=1``);
+    everything comes back as data, so nothing crosses the process
+    boundary as an exception — except a worker killed outright, which
+    the supervisor turns into a retryable ``WorkerLost`` record.
 
     ``image_ref`` (a :class:`repro.eval.shm.ImageRef`) carries the
     parent's preloaded image; when absent or unreadable, the worker

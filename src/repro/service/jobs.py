@@ -29,7 +29,7 @@ instead of re-reading blobs; the arena is destroyed when the batch
 drains (and by the creator-side atexit guard on abnormal exit).
 
 Execution isolation (``isolation="process"``) swaps the thread pool
-for a :class:`~repro.service.supervisor.SupervisedExecutor`: jobs run
+for a :class:`~repro.eval.supervisor.SupervisedExecutor`: jobs run
 in supervised child processes where the ``SIGALRM`` deadline and
 ``RLIMIT_AS`` ceiling actually arm, and a job that kills or wedges its
 worker is retried on a fresh worker until ``poison_threshold`` losses,
@@ -78,7 +78,7 @@ from repro.eval.journal import JournalFile, read_journal_lines
 from repro.eval.quarantine import QuarantineStore
 from repro.obs import log
 from repro.service.receipts import build_receipt
-from repro.service.supervisor import (
+from repro.eval.supervisor import (
     DEFAULT_BACKSTOP,
     REASON_SHUTDOWN,
     SupervisedExecutor,
@@ -114,7 +114,7 @@ def execute_payload(payload: dict) -> ImageAnalysis:
     """Run one job body from a plain-data payload.
 
     Module-level and pickle-clean on purpose: this is the function a
-    :class:`~repro.service.supervisor.SupervisedExecutor` ships to its
+    :class:`~repro.eval.supervisor.SupervisedExecutor` ships to its
     worker subprocesses (thread executors call it too, so both
     isolation modes execute identical code). The payload carries either
     a shared-memory ``ref`` or a blob ``path``, plus the cache

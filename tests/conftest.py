@@ -6,6 +6,9 @@ building it once per test session is safe and keeps the suite fast.
 
 from __future__ import annotations
 
+import multiprocessing
+import threading
+
 import pytest
 
 from repro.elf.parser import ELFFile
@@ -45,3 +48,33 @@ def sample_c_binary():
 @pytest.fixture(scope="session")
 def tiny_corpus():
     return build_corpus("tiny")
+
+
+@pytest.fixture()
+def no_leaked_workers():
+    """Fail the test if it leaves a worker process or supervisor thread.
+
+    Anything that starts a :class:`~repro.eval.supervisor.SupervisedExecutor`
+    must shut it down on every exit path; a forgotten ``shutdown()``
+    shows up here as a live ``multiprocessing`` child or a
+    ``repro-supervisor-*`` thread. Leaked children are killed so one
+    failure does not cascade into later tests.
+    """
+    def supervisors() -> set[threading.Thread]:
+        return {t for t in threading.enumerate()
+                if t.name.startswith("repro-supervisor-")}
+
+    children = {p.pid for p in multiprocessing.active_children()}
+    threads = supervisors()
+    yield
+    leaked = [p for p in multiprocessing.active_children()
+              if p.pid not in children]
+    for proc in leaked:
+        proc.kill()
+        proc.join(5)
+    stray = supervisors() - threads
+    if leaked or stray:
+        pytest.fail(
+            f"test leaked {len(leaked)} worker process(es) "
+            f"{[p.name for p in leaked]} and {len(stray)} supervisor "
+            f"thread(s) {sorted(t.name for t in stray)}")

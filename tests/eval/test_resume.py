@@ -58,7 +58,7 @@ def _faulted_then_resumed(tmp_path, corpus, plan, *, workers=1,
     try:
         run_evaluation_parallel(
             corpus, TOOLS, workers=workers, timeout=timeout,
-            journal=journal, backstop_grace=2.0)
+            journal=journal)
     except JournalWriteError as exc:
         crash = exc
     finally:
@@ -83,9 +83,10 @@ def _faulted_then_resumed(tmp_path, corpus, plan, *, workers=1,
 @pytest.mark.chaos_smoke
 def test_worker_kill_resumes_to_identical_report(tmp_path, corpus,
                                                  baseline):
-    # One pool worker is SIGKILLed mid-sweep (its 3rd cell = second
-    # job's parse); the parent backstop declares the job lost, the
-    # journal keeps the rest, and the resume heals the lost cells.
+    # One worker is SIGKILLed mid-sweep (its 3rd cell = second job's
+    # parse); the supervisor sees the pipe close and declares the job
+    # lost, the journal keeps the rest, and the resume heals the lost
+    # cells.
     crash, state, final = _faulted_then_resumed(
         tmp_path, corpus, "kill@cell.execute#3", workers=2)
     assert crash is None                       # sweep itself survived

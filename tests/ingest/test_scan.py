@@ -21,7 +21,6 @@ from repro import faults
 from repro.errors import JournalWriteError, ManifestMismatchError
 from repro.eval.breaker import CircuitBreaker
 from repro.eval.journal import read_journal_lines
-from repro.faults.chaos import CHAOS_BACKSTOP_GRACE
 from repro.ingest.fixtures import build_fixture_tree
 from repro.ingest.journal import read_scan_journal
 from repro.ingest.pipeline import run_scan
@@ -141,12 +140,11 @@ def test_journal_write_failure_aborts_resumably(tree, tmp_path):
 @pytest.mark.ingest_smoke
 def test_injected_worker_kill_resumes_to_baseline(tree, tmp_path,
                                                   baseline_doc):
-    """Tier-1 acceptance: kill a pool worker mid-ladder, then converge."""
+    """Tier-1 acceptance: kill a worker mid-ladder, then converge."""
     run_dir = tmp_path / "run"
     faults.install(f"kill@{faults.SITE_INGEST_ANALYZE}#2")
     try:
-        faulted = _scan(run_dir, tree, workers=2, timeout=1.0,
-                        backstop_grace=CHAOS_BACKSTOP_GRACE)
+        faulted = _scan(run_dir, tree, workers=2, timeout=1.0)
     finally:
         faults.clear()
     assert faulted.stats.lost_workers >= 1
@@ -156,6 +154,40 @@ def test_injected_worker_kill_resumes_to_baseline(tree, tmp_path,
     assert not resumed.state.failures
     doc = normalize_fleet_report(build_fleet_report(resumed.state))
     assert doc == baseline_doc
+
+
+def test_crashed_worker_costs_only_its_binary(tree, tmp_path,
+                                             monkeypatch):
+    """A worker that exits mid-ladder loses its own binary, at once.
+
+    The timeout arms the default backstop (30 s past each binary's
+    budget); the supervisor must see the crash at pipe EOF instead, so
+    the scan ends in seconds with one retryable ``WorkerLost`` record
+    and every other path decided as in a serial scan.
+    """
+    from repro.ingest import pipeline
+
+    serial = _scan(tmp_path / "serial", tree, workers=1)
+    victim = sorted(serial.state.analyses)[1]
+    real = pipeline.analyze_binary
+
+    def crash_on_victim(path, *args, **kwargs):
+        if path == victim:
+            os._exit(13)  # a hard native crash: no reply, no cleanup
+        return real(path, *args, **kwargs)
+
+    # Workers fork after the patch, so they inherit it.
+    monkeypatch.setattr(pipeline, "analyze_binary", crash_on_victim)
+    started = time.monotonic()
+    faulted = _scan(tmp_path / "run", tree, workers=2, timeout=1.0)
+    assert time.monotonic() - started < 5.0
+
+    assert faulted.stats.lost_workers == 1
+    assert list(faulted.state.failures) == [victim]
+    failure = faulted.state.failures[victim]
+    assert failure["error_type"] == "WorkerLost"
+    assert "exitcode: 13" in failure["message"]
+    assert faulted.state.completed == serial.state.completed - {victim}
 
 
 @pytest.mark.ingest_smoke

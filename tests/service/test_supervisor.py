@@ -22,7 +22,7 @@ from repro.errors import (
     is_permanent_failure,
 )
 from repro.service.jobs import JOB_DONE, JOB_FAILED, JobManager
-from repro.service.supervisor import (
+from repro.eval.supervisor import (
     REASON_CRASH,
     REASON_DEADLINE,
     SupervisedExecutor,
