@@ -178,7 +178,7 @@ def _recursive_traversal_indexed(
     n = len(data)
     found: set[int] = set()
     work = [s for s in seeds if base <= s < end]
-    visited_bytes: set[int] = set()
+    visited = bytearray(n)
     while work:
         entry = work.pop()
         if entry in found:
@@ -187,9 +187,9 @@ def _recursive_traversal_indexed(
         offset = entry - base
         steps = 0
         while offset < n and steps < 100000:
-            if offset in visited_bytes:
+            if visited[offset]:
                 break
-            visited_bytes.add(offset)
+            visited[offset] = 1
             length = lengths[offset]
             if length == 0:
                 break
@@ -217,6 +217,8 @@ _PROLOGUE_SIGS_32 = (
     b"\x53\x83\xec",         # push ebx; sub esp, imm8
     b"\x83\xec",             # sub esp, imm8
 )
+_ENDBR64_WORD = int.from_bytes(b"\xf3\x0f\x1e\xfa", "little")
+_ENDBR32_WORD = int.from_bytes(b"\xf3\x0f\x1e\xfb", "little")
 
 
 def prologue_scan(
@@ -228,32 +230,36 @@ def prologue_scan(
     This is the compiler-specific pattern matching mainstream tools use
     to sweep gaps (§VII-B). It knows nothing about end-branch
     instructions.
+
+    Each aligned offset's next 8 bytes are read as one little-endian
+    word, so a signature test is one masked compare over all offsets
+    at once. Bytes past the end read as zero; no signature or end-branch
+    byte is zero, so the padding never completes a match.
     """
     sigs = _PROLOGUE_SIGS_64 if bits == 64 else _PROLOGUE_SIGS_32
+    words = vector.aligned_words(data, alignment)
+    hits = _any_signature(words, sigs)
+    # push rbp preceded by an endbr marker: the pattern engines match
+    # the push, landing 4 bytes in. Model the tools' endbr-oblivious
+    # view: accept when the post-endbr bytes form a prologue (entry
+    # still reported at the aligned address, which happens to be
+    # correct).
+    head = words & 0xFFFFFFFF
+    hits |= ((head == _ENDBR64_WORD) | (head == _ENDBR32_WORD)) \
+        & _any_signature(words >> 32, sigs)
     skip = skip or set()
-    found: set[int] = set()
-    for off in range(0, len(data), alignment):
-        addr = base + off
-        if addr in skip:
-            continue
-        window = data[off : off + 8]
-        for sig in sigs:
-            if window.startswith(sig):
-                found.add(addr)
-                break
-        else:
-            # push rbp preceded by an endbr marker: the pattern engines
-            # match the push, landing 4 bytes in. Model the tools'
-            # endbr-oblivious view: accept when the post-endbr bytes
-            # form a prologue (entry still reported at the aligned
-            # address, which happens to be correct).
-            if window[4:8]:
-                for sig in sigs:
-                    if window[4:].startswith(sig) and _is_endbr(window[:4]):
-                        found.add(addr)
-                        break
-    return found
+    return {
+        addr for addr in (base + i * alignment
+                          for i in hits.nonzero()[0].tolist())
+        if addr not in skip
+    }
 
 
-def _is_endbr(chunk: bytes) -> bool:
-    return chunk in (b"\xf3\x0f\x1e\xfa", b"\xf3\x0f\x1e\xfb")
+def _any_signature(words, sigs: tuple[bytes, ...]):
+    """Mask of the words whose low bytes start with one of ``sigs``."""
+    hits = None
+    for sig in sigs:
+        mask = (1 << 8 * len(sig)) - 1
+        match = (words & mask) == int.from_bytes(sig, "little")
+        hits = match if hits is None else hits | match
+    return hits

@@ -229,12 +229,15 @@ def _calling_convention_scan(
 def _cc_compatible(
     arg_usage: dict[int, frozenset[int]], target: int
 ) -> bool:
-    """Whether a tail-call target's argument usage is achievable.
+    """FETCH's calling-convention validation of a tail-call target.
 
-    All compiler-generated tail calls satisfy this (the caller forwards
-    its own arguments); the check exists to mirror FETCH's validation
-    step and rejects targets consuming more argument registers than the
-    System V convention provides.
+    This never rejects anything. :func:`_calling_convention_scan` keeps
+    only registers from the six System V argument registers, and the
+    count is compared against those same six, so the test always holds.
+    It stands in for FETCH's validation step so that its cost, the full
+    read-before-write scan, is paid. That scan applies the x86-64
+    argument registers to 32-bit binaries too, where arguments travel
+    on the stack.
     """
     return len(arg_usage.get(target, frozenset())) <= len(_ARG_REGS_64)
 

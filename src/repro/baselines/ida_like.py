@@ -23,7 +23,6 @@ from repro.baselines.base import (
     recursive_traversal,
     text_section,
 )
-from repro.core.disassemble import disassemble
 from repro.elf.parser import ELFFile
 from repro.x86 import vector
 from repro.x86.decoder import DecodeError, decode
@@ -36,6 +35,9 @@ _XREF_CLASSES = frozenset(
 )
 
 _TERMINATORS = frozenset(int(k) for k in TERMINATOR_CLASSES)
+_LEA = int(InsnClass.LEA)
+_MOV_IMM = int(InsnClass.MOV_IMM)
+_PUSH_IMM = int(InsnClass.PUSH_IMM)
 
 
 class IdaLikeDetector(FunctionDetector):
@@ -94,31 +96,26 @@ class IdaLikeDetector(FunctionDetector):
     def _xref_targets_indexed(
         self, index, data: bytes, base: int, bits: int, *, pie: bool
     ) -> set[int]:
-        """The xref sweep off the shared decode index (same outputs)."""
+        """The xref sweep off the shared decode index (same outputs).
+
+        The index gives the instructions the scalar loop decodes; a
+        class mask picks the address-materializing ones, and
+        only those sites are checked one by one.
+        """
         out: set[int] = set()
         end = base + len(data)
         n = len(data)
-        lengths = index.lengths
-        klasses = index.klasses
         targets = index.targets
-        classes = frozenset(
-            int(k) for k in ({InsnClass.LEA} if pie else _XREF_CLASSES)
-        )
-        offset = 0
-        while offset < n:
-            length = lengths[offset]
-            if length == 0:
-                offset += 1
-                continue
-            klass = klasses[offset]
-            start = offset
-            offset += length
-            if klass in classes:
-                target = targets.get(start)
-                if target is not None and base <= target < end \
-                        and self._plausible_entry_indexed(
-                            index, target - base, n):
-                    out.add(target)
+        offsets, klasses, _, _ = index.swept_insns()
+        sites = klasses == _LEA
+        if not pie:
+            sites |= (klasses == _MOV_IMM) | (klasses == _PUSH_IMM)
+        for off in offsets[sites].tolist():
+            target = targets.get(off)
+            if target is not None and base <= target < end \
+                    and self._plausible_entry_indexed(
+                        index, target - base, n):
+                out.add(target)
         return out
 
     @staticmethod

@@ -23,6 +23,11 @@ from repro.x86.decoder import DecodeError, decode_raw
 from repro.x86.insn import InsnClass
 from repro.x86.superset import get_index
 
+_ENDBR64 = int(InsnClass.ENDBR64)
+_ENDBR32 = int(InsnClass.ENDBR32)
+_CALL_DIRECT = int(InsnClass.CALL_DIRECT)
+_JMP_DIRECT = int(InsnClass.JMP_DIRECT)
+
 
 @dataclass(frozen=True)
 class BranchSite:
@@ -70,61 +75,52 @@ def disassemble(data: bytes, base_addr: int, bits: int) -> SweepResult:
 def _disassemble_indexed(
     index, data: bytes, base_addr: int, bits: int
 ) -> SweepResult:
-    """The same collection pass, walking the shared decode index.
+    """The same collection pass, read off the shared decode index.
 
-    The batched pass has already classified every offset; this walk
-    touches only instruction boundaries and materializes no ``Insn``
-    objects. Bookkeeping (error resets of ``prev``, boundary checks on
-    branch targets, counters) mirrors :func:`_disassemble` exactly —
-    the differential tests hold the two to identical results.
+    The index already knows which offsets the sweep decodes an
+    instruction at; masks over their classes pick out the end-branch
+    and direct-branch sites, and only those are touched one by one. No
+    ``Insn`` objects are materialized. Predecessor resets after decode
+    errors, boundary checks on branch targets and the counters mirror
+    :func:`_disassemble` exactly — the differential tests hold the two
+    to identical results.
     """
     result = SweepResult(text_start=base_addr, text_end=base_addr + len(data))
     end = result.text_end
-    lengths = index.lengths
-    klasses = index.klasses
     targets = index.targets
-    prev: tuple[int, int | None] | None = None
-    offset = 0
-    count = 0
-    errors = 0
-    n = len(data)
-    endbr64 = int(InsnClass.ENDBR64)
-    endbr32 = int(InsnClass.ENDBR32)
-    call_d = int(InsnClass.CALL_DIRECT)
-    jmp_d = int(InsnClass.JMP_DIRECT)
-    while offset < n:
-        length = lengths[offset]
-        if length == 0:
-            offset += 1
-            prev = None
-            errors += 1
-            continue
-        addr = base_addr + offset
-        klass = klasses[offset]
-        target = targets.get(offset)
-        offset += length
-        count += 1
-        if klass == endbr64 or klass == endbr32:
-            result.endbr_addrs.add(addr)
-            if prev is not None:
-                result.endbr_predecessor[addr] = (
-                    InsnClass(prev[0]), prev[1]
-                )
-        elif klass == call_d:
-            if base_addr <= target < end:
-                result.call_targets.add(target)
-                result.call_sites.append(BranchSite(addr, target, True))
-            else:
-                result.external_call_sites.append(
-                    BranchSite(addr, target, True)
-                )
-        elif klass == jmp_d:
-            if base_addr <= target < end:
-                result.jump_targets.add(target)
-                result.jump_sites.append(BranchSite(addr, target, False))
-        prev = (klass, target)
-    result.insn_count = count
-    obs.add("sweep.insns", count)
+    offsets, klasses, after_error, errors = index.swept_insns()
+
+    endbr = ((klasses == _ENDBR64) | (klasses == _ENDBR32)).nonzero()[0]
+    # The predecessor is the previous swept instruction, unless a
+    # decode failure (or the start of .text) came in between.
+    has_prev = (endbr > 0) & ~after_error[endbr]
+    before = endbr - has_prev
+    for off, linked, prev_off, prev_klass in zip(
+        offsets[endbr].tolist(), has_prev.tolist(),
+        offsets[before].tolist(), klasses[before].tolist(),
+    ):
+        addr = base_addr + off
+        result.endbr_addrs.add(addr)
+        if linked:
+            result.endbr_predecessor[addr] = (
+                InsnClass(prev_klass), targets.get(prev_off)
+            )
+    for off in offsets[klasses == _CALL_DIRECT].tolist():
+        target = targets.get(off)
+        site = BranchSite(base_addr + off, target, True)
+        if base_addr <= target < end:
+            result.call_targets.add(target)
+            result.call_sites.append(site)
+        else:
+            result.external_call_sites.append(site)
+    for off in offsets[klasses == _JMP_DIRECT].tolist():
+        target = targets.get(off)
+        if base_addr <= target < end:
+            result.jump_targets.add(target)
+            result.jump_sites.append(BranchSite(base_addr + off, target,
+                                                False))
+    result.insn_count = len(offsets)
+    obs.add("sweep.insns", result.insn_count)
     obs.add("sweep.decode_errors", errors)
     obs.add("sweep.endbr_sites", len(result.endbr_addrs))
     return result
@@ -139,10 +135,6 @@ def _disassemble(data: bytes, base_addr: int, bits: int) -> SweepResult:
     count = 0
     errors = 0
     n = len(data)
-    endbr64 = int(InsnClass.ENDBR64)
-    endbr32 = int(InsnClass.ENDBR32)
-    call_d = int(InsnClass.CALL_DIRECT)
-    jmp_d = int(InsnClass.JMP_DIRECT)
     while offset < n:
         addr = base_addr + offset
         try:
@@ -156,13 +148,13 @@ def _disassemble(data: bytes, base_addr: int, bits: int) -> SweepResult:
             continue
         offset += length
         count += 1
-        if klass == endbr64 or klass == endbr32:
+        if klass == _ENDBR64 or klass == _ENDBR32:
             result.endbr_addrs.add(addr)
             if prev is not None:
                 result.endbr_predecessor[addr] = (
                     InsnClass(prev[0]), prev[1]
                 )
-        elif klass == call_d:
+        elif klass == _CALL_DIRECT:
             if base_addr <= target < end:
                 result.call_targets.add(target)
                 result.call_sites.append(BranchSite(addr, target, True))
@@ -170,7 +162,7 @@ def _disassemble(data: bytes, base_addr: int, bits: int) -> SweepResult:
                 result.external_call_sites.append(
                     BranchSite(addr, target, True)
                 )
-        elif klass == jmp_d:
+        elif klass == _JMP_DIRECT:
             if base_addr <= target < end:
                 result.jump_targets.add(target)
                 result.jump_sites.append(BranchSite(addr, target, False))

@@ -250,6 +250,11 @@ def table3(corpus: list[CorpusEntry]) -> tuple[str, EvalReport]:
         f"{paper.TABLE3_TIME['funseeker']}s vs "
         f"{paper.TABLE3_TIME['fetch']}s = {paper.TABLE3_SPEEDUP}x)"
     )
+    lines.append(
+        "  (tools run in column order on one parse: funseeker pays for "
+        "the shared decode index and sweep, ghidra for the .eh_frame "
+        "parse, so fetch's time holds only its own passes)"
+    )
     failures = failure_summary(report)
     if failures:
         lines.append(failures)

@@ -52,11 +52,14 @@ class DecodeIndex:
     packed ``bytes`` (both fit one byte per offset). ``viable`` has one
     extra trailing entry for the end-of-region sentinel and is computed
     on first use: the detector paths that only walk instruction chains
-    never pay for it.
+    never pay for it. ``sweep`` (where a linear sweep from offset 0
+    decodes instructions, see :func:`repro.x86.vector.sweep_starts`) is
+    likewise built on first use, so tool sets that never sweep do not
+    pay for it either.
     """
 
     __slots__ = ("base_addr", "bits", "lengths", "klasses", "targets",
-                 "notracks", "_viable")
+                 "notracks", "_viable", "_sweep")
 
     def __init__(
         self,
@@ -75,6 +78,7 @@ class DecodeIndex:
         self.targets = targets if targets is not None else {}
         self.notracks = notracks if notracks is not None else set()
         self._viable = viable
+        self._sweep: bytes | None = None
 
     @property
     def viable(self) -> bytes:
@@ -83,16 +87,30 @@ class DecodeIndex:
                 self._viable = vector.viability(self.lengths, self.klasses)
         return self._viable
 
+    @property
+    def sweep(self) -> bytes:
+        """Bitmap of the linear sweep's instruction starts."""
+        if self._sweep is None:
+            with obs.span("superset.sweep", bytes=len(self.lengths)):
+                self._sweep = vector.sweep_starts(self.lengths)
+        return self._sweep
+
+    def swept_insns(self):
+        """The linear sweep's instructions, see
+        :func:`repro.x86.vector.sweep_insns`."""
+        return vector.sweep_insns(self.sweep, self.lengths, self.klasses)
+
     def retained_bytes(self) -> int:
         """Approximate heap footprint of this index, for memo bounding.
 
-        Counts the packed per-offset arrays (``viable`` as if already
-        materialized — it usually is by the time eviction matters) plus
-        a per-element estimate for the sparse target/NOTRACK containers.
+        Counts the packed per-offset arrays (``viable`` and ``sweep`` as
+        if already materialized, so the figure never changes while the
+        index sits in the memo) plus a per-element estimate for the
+        sparse target/NOTRACK containers.
         """
         n = len(self.lengths)
         sparse = 120 * len(self.targets) + 64 * len(self.notracks)
-        return 3 * n + 1 + sparse + 256
+        return 3 * n + 1 + (n + 7) // 8 + sparse + 256
 
     def insn_at(self, offset: int) -> Insn | None:
         """Reconstruct the decoded instruction starting at ``offset``."""

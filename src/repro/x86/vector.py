@@ -24,12 +24,15 @@ The pass is opt-out: set ``REPRO_NO_VECTOR`` (or call
 :func:`set_enabled`) to force every consumer back onto the scalar
 sweep — that switch is what the differential tests and the
 ``vectorized`` benchmark trajectory compare against. Without NumPy the
-module degrades to unavailable and nothing changes behavior.
+module degrades to unavailable and the decode paths fall back to the
+scalar sweep; :func:`aligned_words`, behind the baselines' prologue
+scan, has no scalar twin and needs NumPy, a declared dependency.
 """
 
 from __future__ import annotations
 
 import os
+from array import array
 
 from repro.x86 import opcodes as OP
 from repro.x86.decoder import DecodeError, decode_raw
@@ -512,3 +515,86 @@ def viability(lengths: bytes, klasses: bytes) -> bytes:
                 break
         nxt[unknown] = nxt[nxt[unknown]]
     return (state == 2).tobytes()
+
+
+#: Pointer-doubling rounds before the sequential skeleton walk: the
+#: walk then takes one Python step per 2**4 instructions.
+_SWEEP_ROUNDS = 4
+
+
+def sweep_starts(lengths: bytes) -> bytes:
+    """Bitmap of the offsets where a linear sweep from offset 0 decodes
+    an instruction (bit ``i % 8`` of byte ``i // 8``).
+
+    The sweep advances by the decoded length, or by one byte on a
+    decode failure (``lengths[i] == 0``). Successor pointers are doubled
+    :data:`_SWEEP_ROUNDS` times, a Python loop walks the chain from 0 in
+    strides of ``2**_SWEEP_ROUNDS`` instructions, and the kept
+    intermediate levels fill the strides back in, coarsest first. Only
+    those few ``int32`` levels are alive at once, never a table per
+    doubling of the whole chain. The failed visits need no bits: they
+    are exactly the bytes between one instruction's end and the next
+    one's start (see :func:`sweep_insns`).
+    """
+    np = _np
+    if np is None:
+        raise RuntimeError("sweep_starts() requires numpy")
+    n = len(lengths)
+    lens = np.frombuffer(lengths, dtype=np.uint8)
+    ok = lens != 0
+    step = np.arange(n + 1, dtype=np.int32)
+    step[:n] += lens | ~ok               # max(length, 1)
+    np.minimum(step, n, out=step)        # n is the absorbing end
+    levels = [step]
+    for _ in range(_SWEEP_ROUNDS):
+        levels.append(np.take(levels[-1], levels[-1]))
+    stride = memoryview(levels.pop())
+    skeleton = array("i")
+    offset = 0
+    while offset < n:
+        skeleton.append(offset)
+        offset = stride[offset]
+    visits = np.frombuffer(skeleton, dtype=np.int32)
+    for level in reversed(levels):
+        visits = np.concatenate((visits, np.take(level, visits)))
+    visited = np.zeros(n + 1, dtype=bool)
+    visited[visits] = True
+    return np.packbits(visited[:n] & ok, bitorder="little").tobytes()
+
+
+def sweep_insns(starts: bytes, lengths: bytes, klasses: bytes):
+    """``(offsets, classes, after_error, errors)`` of a linear sweep.
+
+    ``offsets`` are the instruction starts :func:`sweep_starts` marks,
+    in sweep order, and ``classes`` their instruction classes.
+    ``after_error`` flags the instructions whose previous visit was a
+    decode failure: the previous instruction does not end where this
+    one starts (or, for the first, it does not start at 0). Decoded
+    instructions never run past the buffer, so the failed visits,
+    ``errors``, are the bytes no swept instruction covers.
+    """
+    np = _np
+    n = len(lengths)
+    offsets = np.flatnonzero(np.unpackbits(
+        np.frombuffer(starts, dtype=np.uint8), count=n, bitorder="little"))
+    ends = offsets + np.frombuffer(lengths, dtype=np.uint8)[offsets]
+    after_error = np.empty(offsets.size, dtype=bool)
+    after_error[:1] = offsets[:1] != 0
+    np.not_equal(ends[:-1], offsets[1:], out=after_error[1:])
+    errors = n - int((ends - offsets).sum())
+    return (offsets, np.frombuffer(klasses, dtype=np.uint8)[offsets],
+            after_error, errors)
+
+
+def aligned_words(data: bytes, alignment: int):
+    """The 8 bytes at each ``alignment``-th offset, as little-endian
+    ``uint64`` words; bytes past the end of ``data`` read as zero."""
+    np = _np
+    if np is None:
+        raise RuntimeError("aligned_words() requires numpy")
+    count = -(-len(data) // alignment)
+    pad = np.zeros(count * alignment + 8, dtype=np.uint8)
+    pad[:len(data)] = np.frombuffer(data, dtype=np.uint8)
+    windows = np.lib.stride_tricks.as_strided(
+        pad, shape=(count, 8), strides=(alignment, 1))
+    return np.ascontiguousarray(windows).view("<u8").reshape(count)
